@@ -91,6 +91,11 @@ pub fn slowdown(now: Nanos, ideal_depart: Nanos, ideal_time: Nanos) -> f64 {
 /// id), provided it is valued strictly below — or tied with and id-before —
 /// the arriving unit. `None` means the arriving unit is itself the least
 /// valuable and the arrival should be rejected instead.
+///
+/// This is the reference scan, O(non-empty units). The executors answer
+/// the same question from the rank index in
+/// [`UnitQueues::shed_victim`](crate::queues::UnitQueues::shed_victim),
+/// and tests and debug builds check that index against this function.
 pub fn shed_victim(nonempty: &[UnitId], shed_priority: &[f64], arriving: UnitId) -> Option<UnitId> {
     let mut victim = arriving;
     let mut lowest = PriorityKey(shed_priority[arriving as usize]);

@@ -264,10 +264,6 @@ pub struct Simulator<S: TraceSink = NoTrace, M: MetricsSink = NoTelemetry> {
     /// `ideal_times[query]` = `T_k`, hoisted out of the per-emission path
     /// (`stats` is indexed on every emit and every shared-group fan-out).
     ideal_times: Vec<Nanos>,
-    /// Per-unit static HNR priority `S/(C̄·T)` — the QoS-shedding victim
-    /// metric (the unit whose tuples contribute least slowdown QoS per unit
-    /// of work sheds first).
-    shed_priority: Vec<f64>,
     /// Scratch buffer for join probe results, reused across probes so the
     /// hot path does not allocate a fresh `Vec` per arriving tuple.
     probe_buf: Vec<SimTuple>,
@@ -497,7 +493,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
         let series = cfg.sample_window.map(QosTimeSeries::new);
         let unit_statics = model.unit_statics();
         policy.on_register(&unit_statics);
-        let shed_priority = unit_statics.iter().map(|u| u.hnr_priority()).collect();
         let n_units = model.unit_count();
         let ideal_times = model.stats.iter().map(|s| s.ideal_time).collect();
         let deadlines: Vec<Option<Nanos>> = plan.queries.iter().map(|q| q.deadline).collect();
@@ -562,7 +557,12 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             state
         });
         let queues = if cfg.overload.mode != AdmissionMode::Unbounded || cfg.governor.enabled {
-            UnitQueues::bounded(n_units, admission_capacity)
+            // Bounded queues may shed: rank units by static HNR priority
+            // `S/(C̄·T)`, so the unit whose tuples contribute least slowdown
+            // QoS per unit of work sheds first.
+            let mut q = UnitQueues::bounded(n_units, admission_capacity);
+            q.install_shed_order(unit_statics.iter().map(|u| u.hnr_priority()).collect());
+            q
         } else {
             UnitQueues::new(n_units)
         };
@@ -586,7 +586,6 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             cfg,
             sched_cost,
             ideal_times,
-            shed_priority,
             probe_buf: Vec::new(),
             deadlines,
             any_deadline,
@@ -633,12 +632,12 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
 
     /// Install fresh statics for one unit mid-run — the §10 adaptive path
     /// (online cost/selectivity re-estimation) crossing the queue/policy
-    /// boundary. Refreshes the engine's own derived state (the QoS-shedding
-    /// victim priority) and forwards to the policy's incremental
+    /// boundary. Refreshes the engine's own derived state (the queues'
+    /// QoS-shedding priority, re-ranked at the next shed) and forwards to the policy's incremental
     /// [`Policy::on_statics_update`] hook, so a clustered policy re-buckets
     /// only the affected unit instead of rebuilding its priority domain.
     pub fn update_unit_statics(&mut self, unit: u32, statics: UnitStatics) {
-        self.shed_priority[unit as usize] = statics.hnr_priority();
+        self.queues.set_shed_priority(unit, statics.hnr_priority());
         if let Some(a) = self.adapt.as_mut() {
             a.current[unit as usize] = statics;
         }
@@ -1187,7 +1186,8 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
             }
             a.current[u] = estimate;
             a.statics_updates += 1;
-            self.shed_priority[u] = estimate.hnr_priority();
+            self.queues
+                .set_shed_priority(u as u32, estimate.hnr_priority());
             self.policy.on_statics_update(u as u32, &estimate);
             if a.phi_hi > 0.0 {
                 let phi = estimate.sanitized_phi();
@@ -1324,11 +1324,20 @@ impl<S: TraceSink, M: MetricsSink> Simulator<S, M> {
     /// unit id), provided it is valued strictly below — or tied with and
     /// id-before — the arriving unit. Returns false when the arriving unit
     /// itself is the least valuable, i.e. the arrival should be rejected.
-    /// O(non-empty units) per overloaded admission; the scan only runs past
-    /// the watermark, so the uncongested path never pays it.
+    /// The queues' rank index answers in O(q/4096) word reads, not a scan
+    /// of the non-empty units; debug builds check every answer against the
+    /// reference scan [`exec::shed_victim`].
     fn shed_lowest_priority(&mut self, arriving: u32) -> bool {
-        let Some(victim) = exec::shed_victim(self.queues.nonempty(), &self.shed_priority, arriving)
-        else {
+        let victim = self.queues.shed_victim(arriving);
+        debug_assert_eq!(
+            victim,
+            exec::shed_victim(
+                self.queues.nonempty(),
+                self.queues.shed_priorities(),
+                arriving
+            )
+        );
+        let Some(victim) = victim else {
             return false;
         };
         match self.queues.shed_tail(victim) {

@@ -633,6 +633,54 @@ fn mid_run_statics_update_crosses_the_policy_boundary() {
     assert_eq!(base.emitted, flipped.emitted);
 }
 
+#[test]
+fn statics_update_re_ranks_the_qos_shed_victim() {
+    // Three deterministic queries with static HNR priority S/(C̄·T) of
+    // 1, 1/4 and 1/16 per ms²; capacity 1, watermark 0. Two tuples arrive
+    // at t = 0: the second one finds Q0's queue full and displaces the
+    // first tuple from the lowest-priority pending unit.
+    let build = || {
+        let mut plan = GlobalPlan::default();
+        for cost in [1, 2, 4] {
+            plan.add_query(
+                QueryBuilder::on(StreamId::new(0))
+                    .select(ms(cost), 1.0)
+                    .build()
+                    .unwrap(),
+            );
+        }
+        let trace = TraceReplay::from_arrivals(vec![Nanos::ZERO, Nanos::ZERO]).unwrap();
+        hcq_engine::Simulator::with_sink(
+            &plan,
+            &StreamRates::none(),
+            vec![Box::new(trace)],
+            PolicyKind::Fcfs.build(),
+            SimConfig::new(2)
+                .with_seed(3)
+                .with_admission(hcq_engine::AdmissionMode::QosShed, 1),
+            hcq_engine::VecTrace::new(),
+        )
+        .unwrap()
+    };
+    let displaced_unit = |sim: hcq_engine::Simulator<hcq_engine::VecTrace>| {
+        let (_, sink) = sim.run_with_sink().unwrap();
+        sink.events
+            .iter()
+            .find_map(|e| match *e {
+                hcq_engine::TraceEvent::Shed { unit, tuple: 0, .. } => Some(unit),
+                _ => None,
+            })
+            .expect("the second arrival displaces a pending tuple")
+    };
+    assert_eq!(displaced_unit(build()), 2);
+    // Swap the two lowest priorities: Q1 now ranks below Q2 and is the
+    // unit the same arrival displaces.
+    let mut sim = build();
+    sim.update_unit_statics(1, hcq_core::UnitStatics::new(1.0, ms(4), ms(4)));
+    sim.update_unit_statics(2, hcq_core::UnitStatics::new(1.0, ms(2), ms(2)));
+    assert_eq!(displaced_unit(sim), 1);
+}
+
 // ---------------------------------------------------------------------------
 // Overload governor, deadlines, and the expanded fault model
 // ---------------------------------------------------------------------------

@@ -31,10 +31,13 @@
 //!   tuple ([`hcq_engine::exec`]), so a stolen execution emits exactly what
 //!   the owner would have emitted.
 //! - **Admission**: the simulator's ladder — `Unbounded`, `DropTail`,
-//!   [`exec::shed_victim`]-driven `QosShed` — applies when a shard moves an
-//!   inbox item into its unit queue, and an optional closed-loop governor
-//!   walks the ladder from global backlog, mapping the engine's overload
-//!   machinery onto the real queues.
+//!   `QosShed` — applies when a shard moves an inbox item into its unit
+//!   queue, and an optional closed-loop governor walks the ladder from
+//!   global backlog, mapping the engine's overload machinery onto the real
+//!   queues. A shard that can reach `QosShed` installs the shed order on
+//!   its queues, so [`UnitQueues::shed_victim`] picks the victim from a
+//!   rank index without scanning the non-empty units; debug builds check
+//!   each pick against the reference scan [`exec::shed_victim`].
 //!
 //! ## Determinism contract (and its limits)
 //!
@@ -218,7 +221,9 @@ fn ladder_index(mode: AdmissionMode) -> u8 {
 /// State shared by the ingest thread and every shard.
 struct Shared<'a> {
     model: &'a SimModel,
-    shed_priority: Vec<f64>,
+    /// `QosShed` is reachable (configured, or a governor may climb to it):
+    /// shards install the shed order on their queues.
+    shedding: bool,
     inboxes: Vec<Ring<RtItem>>,
     /// Injected copies not yet emitted/dropped/shed.
     in_flight: AtomicUsize,
@@ -298,12 +303,17 @@ struct Shard<'a> {
 impl<'a> Shard<'a> {
     fn new(id: usize, kind: PolicyKind, shared: &'a Shared<'a>) -> Self {
         let n_units = shared.model.unit_count();
+        let statics = shared.model.unit_statics();
         let mut policy = kind.build();
-        policy.on_register(&shared.model.unit_statics());
+        policy.on_register(&statics);
+        let mut queues = UnitQueues::new(n_units);
+        if shared.shedding {
+            queues.install_shed_order(statics.iter().map(|u| u.hnr_priority()).collect());
+        }
         Shard {
             id,
             policy,
-            queues: UnitQueues::new(n_units),
+            queues,
             watermark: Nanos::ZERO,
             enq_ns: (0..n_units)
                 .map(|_| std::collections::VecDeque::new())
@@ -381,11 +391,16 @@ impl<'a> Shard<'a> {
                 if self.queues.len(unit) >= self.shared.capacity
                     && self.queues.pending() >= self.shared.watermark
                 {
-                    match exec::shed_victim(
-                        self.queues.nonempty(),
-                        &self.shared.shed_priority,
-                        unit,
-                    ) {
+                    let victim = self.queues.shed_victim(unit);
+                    debug_assert_eq!(
+                        victim,
+                        exec::shed_victim(
+                            self.queues.nonempty(),
+                            self.queues.shed_priorities(),
+                            unit
+                        )
+                    );
+                    match victim {
                         Some(victim) => {
                             if let Some(t) = self.queues.shed_tail(victim) {
                                 self.enq_ns[victim as usize].pop_back();
@@ -603,11 +618,7 @@ pub fn run(
 
     let shared = Shared {
         model: &model,
-        shed_priority: model
-            .unit_statics()
-            .iter()
-            .map(|u| u.hnr_priority())
-            .collect(),
+        shedding: cfg.overload.mode == AdmissionMode::QosShed || cfg.govern.is_some(),
         inboxes: (0..cfg.threads)
             .map(|_| Ring::new(cfg.ring_capacity))
             .collect(),

@@ -21,8 +21,13 @@ impl Config {
 }
 
 impl Default for Config {
+    /// 256 cases, or `$PROPTEST_CASES` when set (as upstream proptest does).
     fn default() -> Self {
-        Config { cases: 256 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256);
+        Config { cases }
     }
 }
 
